@@ -11,7 +11,6 @@ right network links.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -21,7 +20,8 @@ from repro.faas.platform import FaasPlatform, FunctionContext
 from repro.metrics.cost import CostLedger
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.simulation.kernel import Kernel
+from repro.simulation import kernel as _kernel_mod
+from repro.simulation.kernel import Kernel, current_thread
 from repro.storage.notification import NotificationService
 from repro.storage.object_store import ObjectStore
 from repro.storage.queue_service import QueueService
@@ -32,7 +32,6 @@ from repro.storage.queue_service import QueueService
 RUNNER_FUNCTION = "crucial-runner"
 
 _active_env: "CrucialEnvironment | None" = None
-_location = threading.local()
 
 
 def current_environment() -> "CrucialEnvironment":
@@ -46,15 +45,18 @@ def current_environment() -> "CrucialEnvironment":
 def current_location() -> str:
     """Network endpoint of the calling simulated thread.
 
-    ``client`` in the client application; the container's endpoint
-    inside a cloud function.  Proxies use this as the RPC source.
+    ``client`` in the client application, in the host and in timer
+    callbacks; the container's endpoint inside a cloud function.
+    Proxies use this as the RPC source.
     """
-    return getattr(_location, "name", "client")
+    thread = getattr(_kernel_mod._context, "thread", None)
+    return "client" if thread is None else thread.location
 
 
 def _set_location(name: str, cpu_share: float = 1.0) -> None:
-    _location.name = name
-    _location.cpu_share = cpu_share
+    thread = current_thread()
+    thread.location = name
+    thread.cpu_share = cpu_share
 
 
 def current_cpu_share() -> float:
@@ -63,7 +65,8 @@ def current_cpu_share() -> float:
     Inside a cloud function this reflects the memory-proportional CPU
     allocation (1792 MB = 1 vCPU); in the client process it is 1.0.
     """
-    return getattr(_location, "cpu_share", 1.0)
+    thread = getattr(_kernel_mod._context, "thread", None)
+    return 1.0 if thread is None else thread.cpu_share
 
 
 def compute(cpu_seconds: float, jitter_sigma: float = 0.0) -> None:
@@ -73,7 +76,7 @@ def compute(cpu_seconds: float, jitter_sigma: float = 0.0) -> None:
     nominal-scale ML passes): wall time is ``cpu_seconds / cpu_share``
     with optional lognormal jitter (stragglers).
     """
-    from repro.simulation.kernel import current_kernel, current_thread
+    from repro.simulation.kernel import current_kernel
 
     if cpu_seconds <= 0:
         return

@@ -1,14 +1,31 @@
 """The discrete-event kernel: a virtual clock plus a wakeup heap.
 
-The kernel runs in the host thread (e.g. the pytest process).  Simulated
-threads are real Python threads, but the kernel wakes exactly one at a
-time and waits for it to block on a simulation primitive before
-advancing the clock, so execution is effectively single-threaded and —
-given seeded RNGs — fully deterministic.
+Simulated threads are real OS threads, but exactly one of them -- or
+the host thread that called :meth:`Kernel.run` -- executes at any
+instant, so execution is effectively single-threaded and, given seeded
+RNGs, fully deterministic.
+
+Handoff.  Every party owns a *gate*: a raw ``_thread`` lock held
+closed.  Releasing a gate lets its owner's blocked ``acquire`` return,
+which closes it again, so one release is exactly one wakeup.  The host
+owns ``Kernel._control``; a simulated thread borrows the gate of the
+pooled OS thread it runs on (``SimThread._resume``).
+
+The dispatch loop has no home thread (*baton passing*).  It runs in
+whichever thread is about to block: a simulated thread suspending on a
+primitive or finishing, or the host when ``run`` starts.  That thread
+pops events in ``(time, seq)`` order, running timer callbacks in place,
+until one wakes a thread.  A wakeup of the suspending thread itself
+returns at once, with no switch; any other opens that thread's gate and
+the caller blocks on its own.  Only when the run must stop -- ``until``
+or ``limit`` reached, ``run_until``'s predicate true, or the heap empty
+-- is the host's gate opened.  Each wakeup therefore costs at most one
+OS-thread switch, where a host-centred loop pays two.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
 import threading
@@ -17,11 +34,19 @@ from typing import Any, Callable, Iterable
 from repro.errors import DeadlockError, NotInSimThread, SimulationError
 from repro.simulation.rng import RngRegistry
 
+#: ``_context.thread``: the SimThread an OS thread is executing, unset
+#: in the host and cleared around timer callbacks.
 _context = threading.local()
 
 #: Cap on the Wakeup free list; beyond this, surplus events are left to
 #: the garbage collector (a pool larger than the live heap is pure waste).
 _POOL_MAX = 1024
+
+#: Idle OS threads a kernel keeps for reuse.  A finished simulated
+#: thread's OS thread parks for the next spawn unless this many already
+#: wait, in which case it exits; peak OS threads still track peak live
+#: simulated threads.
+_POOL_THREADS = 128
 
 #: Compaction trigger: once at least this many cancelled events sit in
 #: the heap *and* they make up half of it, the dispatch loop rebuilds.
@@ -30,10 +55,10 @@ _COMPACT_MIN = 512
 
 def current_kernel() -> "Kernel":
     """Return the kernel driving the calling simulated thread."""
-    kernel = getattr(_context, "kernel", None)
-    if kernel is None:
+    thread = getattr(_context, "thread", None)
+    if thread is None:
         raise NotInSimThread("no simulation kernel in this context")
-    return kernel
+    return thread.kernel
 
 
 def current_thread() -> "SimThread":
@@ -101,6 +126,18 @@ class Timer:
         self.cancelled = True
 
 
+class _Worker:
+    """A pooled OS thread and its gate; ``sim`` is the SimThread it is
+    to run next (``None`` tells it to exit)."""
+
+    __slots__ = ("gate", "sim")
+
+    def __init__(self):
+        self.gate = _thread.allocate_lock()
+        self.gate.acquire()
+        self.sim = None
+
+
 class Kernel:
     """Virtual-time scheduler for simulated threads and timers.
 
@@ -131,8 +168,20 @@ class Kernel:
         self._seq = itertools.count()
         self._heap: list[tuple[float, int, object]] = []
         self._threads: set = set()  # live SimThreads
-        self._running = None  # SimThread currently executing
-        self._control = threading.Event()  # thread -> kernel handshake
+        #: The host's gate, opened when a run must stop (see module doc).
+        self._control = _thread.allocate_lock()
+        self._control.acquire()
+        #: The current run's stop conditions, read by every baton holder.
+        self._bound: float | None = None
+        self._predicate: Callable[[], bool] | None = None
+        #: Why the last run stopped: "done", "bound" or "drained".
+        self._stopped = ""
+        #: An exception raised in a baton holder, re-raised by the host.
+        self._error: BaseException | None = None
+        #: Idle pooled workers, and every OS thread started that may
+        #: still be alive (joined by :meth:`close`).
+        self._idle: list[_Worker] = []
+        self._os_threads: list[threading.Thread] = []
         self._closed = False
         self._failed: list = []  # threads that died with an exception
         #: Free list of recyclable Wakeups (see :class:`Wakeup`).
@@ -267,39 +316,8 @@ class Kernel:
         Raises :class:`DeadlockError` if the heap drains while
         non-daemon threads remain blocked.
         """
-        self._check_host_context()
-        heap = self._heap
-        pop = heapq.heappop
-        fast = self.scheduler is None
-        while heap:
-            head = heap[0]
-            item = head[2]
-            if item.cancelled:
-                pop(heap)
-                self._reclaim(item)
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            time = head[0]
-            if until is not None and time > until:
-                self._now = until
-                return
-            if fast:
-                pop(heap)
-            else:
-                item = self._next_event()
-                if item is None:
-                    continue
-            self._now = time
-            if item.is_timer:
-                item.callback()
-            else:
-                self._dispatch(item)
-                self._reclaim(item)
-            if self._cancelled >= _COMPACT_MIN \
-                    and self._cancelled * 2 >= len(heap):
-                self._compact()
-        self._detect_deadlock()
+        if self._drive(until, None) == "drained":
+            self._detect_deadlock()
 
     def run_until(self, predicate: Callable[[], bool],
                   limit: float | None = None) -> None:
@@ -310,31 +328,63 @@ class Kernel:
         — a later ``run``/``run_until`` call on the same kernel will
         dispatch it.
         """
+        stopped = self._drive(limit, predicate)
+        if stopped == "bound":
+            raise SimulationError(
+                f"condition not met by virtual time limit {limit}")
+        if stopped == "drained":
+            self._detect_deadlock()
+            raise SimulationError(
+                "event queue drained before condition was met")
+
+    def _drive(self, bound: float | None,
+               predicate: Callable[[], bool] | None) -> str:
+        """Run the dispatch loop from the host until it stops; returns
+        why (see ``_stopped``)."""
         self._check_host_context()
+        self._bound = bound
+        self._predicate = predicate
+        self._advance(None)
+        self._control.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+        return self._stopped
+
+    def _advance(self, me) -> bool:
+        """The dispatch loop, run by the baton holder (module doc).
+
+        ``me`` is the suspending SimThread, or ``None`` in the host and
+        in a thread that has finished.  Returns ``True`` when ``me``'s
+        own wakeup came next: it resumes without a switch.  Otherwise
+        exactly one gate has been opened -- a woken thread's, or the
+        host's when the run stops -- and the caller must touch no
+        kernel state until its own gate opens.
+        """
         heap = self._heap
         pop = heapq.heappop
         fast = self.scheduler is None
-        while not predicate():
-            head = heap[0] if heap else None
-            if head is not None and head[2].cancelled:
+        bound = self._bound
+        predicate = self._predicate
+        while True:
+            if self._cancelled >= _COMPACT_MIN \
+                    and self._cancelled * 2 >= len(heap):
+                self._compact()
+            if predicate is not None and predicate():
+                return self._stop("done")
+            if not heap:
+                return self._stop("drained")
+            time, _, item = heap[0]
+            if item.cancelled:
                 pop(heap)
-                self._reclaim(head[2])
+                self._reclaim(item)
                 if self._cancelled:
                     self._cancelled -= 1
                 continue
-            if head is None:
-                self._detect_deadlock()
-                if not predicate():
-                    raise SimulationError(
-                        "event queue drained before condition was met")
-                return
-            time = head[0]
-            if limit is not None and time > limit:
-                self._now = limit
-                raise SimulationError(
-                    f"condition not met by virtual time limit {limit}")
+            if bound is not None and time > bound:
+                self._now = bound
+                return self._stop("bound")
             if fast:
-                item = head[2]
                 pop(heap)
             else:
                 item = self._next_event()
@@ -342,36 +392,56 @@ class Kernel:
                     continue
             self._now = time
             if item.is_timer:
-                item.callback()
-            else:
-                self._dispatch(item)
-                self._reclaim(item)
-            if self._cancelled >= _COMPACT_MIN \
-                    and self._cancelled * 2 >= len(heap):
-                self._compact()
+                if me is None:
+                    item.callback()
+                else:
+                    # Timer callbacks run in kernel context, whichever
+                    # thread holds the baton.
+                    _context.thread = None
+                    try:
+                        item.callback()
+                    finally:
+                        _context.thread = me
+                continue
+            thread = item.thread
+            thread._pending.discard(item)
+            value = item.value
+            self._reclaim(item)
+            if thread.done:
+                continue
+            thread._wake_value = value
+            if thread is me:
+                return True
+            gate = thread._resume
+            if gate is None:
+                gate = self._bind(thread)
+            gate.release()
+            return False
+
+    def _stop(self, reason: str) -> bool:
+        self._stopped = reason
+        self._control.release()
+        return False
+
+    def _fail(self, exc: BaseException) -> None:
+        """Hand an exception raised in a baton holder to the host."""
+        self._error = exc
+        self._control.release()
 
     def _next_event(self):
-        """Pop the event to dispatch next, or ``None`` to re-examine.
+        """Pop the event to dispatch next under a scheduler, or ``None``
+        to re-examine.
 
-        Without a scheduler this is a plain heap pop (cancelled events
-        yield ``None``): the historical, byte-stable ``(time, seq)``
-        order.  With one, every pop becomes a *scheduling point*: all
-        live events ready at the minimum virtual time are offered to
-        ``scheduler.decide(time, entries)`` — ``entries`` being
-        ``(seq, item)`` pairs in FIFO order — which returns the chosen
-        index plus a bounded extra delay.  A positive delay re-enqueues
-        the chosen event at ``time + delay`` (a preemption: events due
-        within the delay window overtake it) and reports ``None`` so
-        the caller re-peeks the heap.
+        The caller has checked that the head is live.  Every pop is a
+        *scheduling point*: all live events ready at the head's virtual
+        time are offered to ``scheduler.decide(time, entries)`` —
+        ``entries`` being ``(seq, item)`` pairs in FIFO order — which
+        returns the chosen index plus a bounded extra delay.  A positive
+        delay re-enqueues the chosen event at ``time + delay`` (a
+        preemption: events due within the delay window overtake it) and
+        reports ``None`` so the caller re-peeks the heap.
         """
         time, seq, item = heapq.heappop(self._heap)
-        if item.cancelled:
-            self._reclaim(item)
-            if self._cancelled:
-                self._cancelled -= 1
-            return None
-        if self.scheduler is None:
-            return item
         batch = [(seq, item)]
         while self._heap and self._heap[0][0] == time:
             _, other_seq, other = heapq.heappop(self._heap)
@@ -403,18 +473,6 @@ class Kernel:
         self.run_until(lambda: thread.done)
         return thread.result()
 
-    def _dispatch(self, wakeup: Wakeup) -> None:
-        thread = wakeup.thread
-        thread._pending.discard(wakeup)
-        if thread.done:
-            return
-        self._running = thread
-        thread._wake_value = wakeup.value
-        thread._resume.set()
-        self._control.wait()
-        self._control.clear()
-        self._running = None
-
     def _detect_deadlock(self) -> None:
         blocked = [t.name for t in self._threads if not t.daemon and not t.done]
         if blocked:
@@ -428,24 +486,80 @@ class Kernel:
         if self._closed:
             raise SimulationError("kernel is closed")
 
+    # -- pooled OS threads --------------------------------------------------
+
+    def _bind(self, thread):
+        """Give ``thread`` an OS thread on its first dispatch: an idle
+        pooled worker, or a new one.  Returns the worker's gate."""
+        if self._idle:
+            worker = self._idle.pop()
+        else:
+            worker = _Worker()
+            if len(self._os_threads) >= 2 * _POOL_THREADS + len(self._threads):
+                # Forget retired workers' exited threads.
+                self._os_threads = [t for t in self._os_threads
+                                    if t.is_alive()]
+            os_thread = threading.Thread(
+                target=self._work, args=(worker,), daemon=True,
+                name=f"{self.name}-worker")
+            self._os_threads.append(os_thread)
+            os_thread.start()
+        worker.sim = thread
+        thread._resume = worker.gate
+        return worker.gate
+
+    def _work(self, worker: _Worker) -> None:
+        """Body of a pooled OS thread: run one SimThread per opening
+        of the gate, passing the baton on after each."""
+        gate = worker.gate
+        while True:
+            gate.acquire()
+            thread, worker.sim = worker.sim, None
+            if thread is None:
+                return
+            thread._main()
+            if self._closed:
+                # close() is unwinding threads one at a time.
+                self._control.release()
+                return
+            retire = len(self._idle) >= _POOL_THREADS
+            if not retire:
+                self._idle.append(worker)
+            try:
+                self._advance(None)
+            except BaseException as exc:  # noqa: BLE001 - host re-raises
+                self._fail(exc)
+            if retire:
+                return
+
     # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down every live simulated thread and seal the kernel."""
+        """Tear down every live simulated thread and seal the kernel.
+
+        Blocked threads unwind one at a time (their primitives raise
+        :class:`SimShutdown`); every OS thread the kernel started has
+        exited by the time this returns.
+        """
         if self._closed:
             return
         self._closed = True
         for thread in list(self._threads):
             thread._shutdown = True
-        # Wake blocked threads one at a time so each can unwind.
         for thread in list(self._threads):
             if thread.done:
                 continue
-            self._running = thread
-            thread._resume.set()
-            self._control.wait()
-            self._control.clear()
-            self._running = None
+            if thread._resume is None:  # never dispatched: no OS thread
+                thread._finish()
+                continue
+            thread._resume.release()
+            self._control.acquire()
+        for worker in self._idle:
+            worker.gate.release()  # ``sim`` is None: the worker exits
+        self._idle.clear()
+        for os_thread in self._os_threads:
+            os_thread.join()
+        self._os_threads.clear()
         self._heap.clear()
         self._threads.clear()
 
@@ -470,8 +584,3 @@ class Kernel:
         """Threads that died with an unobserved exception."""
         return tuple(self._failed)
 
-
-def set_context(kernel: Kernel | None, thread) -> None:
-    """Install the (kernel, thread) pair for the calling real thread."""
-    _context.kernel = kernel
-    _context.thread = thread

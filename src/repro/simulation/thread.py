@@ -1,15 +1,17 @@
-"""Simulated threads: real Python threads driven by the kernel.
+"""Simulated threads: ordinary blocking code driven by the kernel.
 
-A :class:`SimThread` executes ordinary blocking Python code.  Whenever
-it calls a simulation primitive (sleep, event wait, lock acquire...),
-it hands control back to the kernel and parks on a real
-``threading.Event`` until the kernel wakes it at the right virtual
-time.  Exactly one simulated thread runs at any instant.
+A :class:`SimThread` executes ordinary blocking Python code on an OS
+thread from its kernel's pool.  Whenever it calls a simulation
+primitive (sleep, event wait, lock acquire...), it runs the kernel's
+dispatch loop itself until the loop wakes another thread, then parks on
+its gate -- a raw lock held closed -- until a later baton holder opens
+it at the right virtual time.  When its own wakeup is next it simply
+continues.  Exactly one simulated thread runs at any instant (see
+:mod:`repro.simulation.kernel`).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.errors import SimShutdown, SimulationError
@@ -44,12 +46,17 @@ class SimThread:
         self.exception: BaseException | None = None
         self._result: Any = None
         self._observed = False  # result()/join() was called
-        self._resume = threading.Event()
+        #: Gate of the pooled OS thread running this thread, bound on
+        #: its first dispatch (``None`` before).
+        self._resume = None
         self._pending: set = set()  # outstanding Wakeups
         self._wake_value: Any = None
         self._shutdown = False
         self._joiners: list[SimThread] = []
-        self._real: threading.Thread | None = None
+        #: Execution site maintained by :mod:`repro.core.runtime`: the
+        #: network endpoint and CPU share this thread runs with.
+        self.location = "client"
+        self.cpu_share = 1.0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -58,16 +65,13 @@ class SimThread:
             raise SimulationError(f"{self.name} already started")
         self.started = True
         self.kernel._register(self)
-        self._real = threading.Thread(
-            target=self._bootstrap, name=f"sim:{self.name}", daemon=True)
-        self._real.start()
         self.kernel.schedule_wakeup(self, 0.0, recycle=True)
         return self
 
-    def _bootstrap(self) -> None:
-        _kernel_mod.set_context(self.kernel, self)
-        self._resume.wait()
-        self._resume.clear()
+    def _main(self) -> None:
+        """Run the target on the calling pooled OS thread (the kernel's
+        first dispatch of this thread opened its gate)."""
+        _kernel_mod._context.thread = self
         try:
             if not self._shutdown:
                 self._result = self.target(*self.args, **self.kwargs)
@@ -75,35 +79,43 @@ class SimThread:
             pass
         except BaseException as exc:  # noqa: BLE001 - reported via result()
             self.exception = exc
-        finally:
-            self.done = True
-            self._cancel_pending()
-            if not self._shutdown:
-                for joiner in self._joiners:
-                    self.kernel.schedule_wakeup(joiner, 0.0, self,
-                                                recycle=True)
-                self._joiners.clear()
-            self.kernel._unregister(self)
-            if self.kernel.tracer.enabled:
-                self.kernel.tracer.on_thread_exit(self)
-            # Hand control back to the kernel for the last time.
-            self.kernel._control.set()
+        self._finish()
+        _kernel_mod._context.thread = None
+
+    def _finish(self) -> None:
+        """Mark the thread done, wake its joiners and unregister it."""
+        self.done = True
+        self._cancel_pending()
+        if not self._shutdown:
+            for joiner in self._joiners:
+                self.kernel.schedule_wakeup(joiner, 0.0, self, recycle=True)
+            self._joiners.clear()
+        self.kernel._unregister(self)
+        if self.kernel.tracer.enabled:
+            self.kernel.tracer.on_thread_exit(self)
 
     # -- suspension protocol -------------------------------------------------
 
     def _suspend(self) -> Any:
-        """Park until the kernel delivers the next wakeup.
+        """Block until the kernel delivers the next wakeup.
 
         Must be called by the thread itself, after having scheduled (or
-        registered for) at least one wakeup.  Returns the wakeup value.
+        registered for) at least one wakeup.  Runs the dispatch loop
+        while holding the baton, then parks unless its own wakeup came
+        next.  Returns the wakeup value.
         """
         if self._shutdown:
             raise SimShutdown()
-        self.kernel._control.set()
-        self._resume.wait()
-        self._resume.clear()
-        if self._shutdown:
-            raise SimShutdown()
+        kernel = self.kernel
+        try:
+            resumed = kernel._advance(self)
+        except BaseException as exc:  # noqa: BLE001 - host re-raises
+            kernel._fail(exc)
+            resumed = False
+        if not resumed:
+            self._resume.acquire()
+            if self._shutdown:
+                raise SimShutdown()
         value = self._wake_value
         self._wake_value = None
         return value
