@@ -117,4 +117,7 @@ def percentile(values: list[float], q: float,
     lower = math.floor(position)
     upper = math.ceil(position)
     fraction = position - lower
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+    low, high = ordered[lower], ordered[upper]
+    # ``low * (1 - f) + high * f`` rounds each product on its own, so
+    # it can leave [low, high] and fall as q rises; this form cannot.
+    return min(max(low + (high - low) * fraction, low), high)

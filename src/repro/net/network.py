@@ -6,6 +6,13 @@ liveness and the current partition set.  Payloads cross the network by
 ``pickle`` round-trip (see :func:`ship`) so no mutable Python reference
 leaks between simulated nodes — the discipline that lets the DSO layer
 legitimately claim distributed-memory semantics.
+
+A transfer marshals its payload in one pass (:func:`ship_sized`): one
+``pickle.dumps`` whose length is the charged size and whose
+``pickle.loads`` is the delivered copy.  Values of exact type ``int``,
+``float``, ``bool``, ``str``, ``bytes`` or ``None`` hold nothing
+mutable, so they are delivered as-is (still charged their pickle
+length); subclasses of those types round-trip like any other object.
 """
 
 from __future__ import annotations
@@ -18,15 +25,30 @@ from repro.net.latency import LatencyModel
 from repro.simulation.kernel import Kernel, current_thread
 
 
+#: Exact types with nothing mutable to copy: :func:`ship` passes them
+#: through.  Subclasses are not listed; they may carry instance state.
+_SCALARS = frozenset((int, float, bool, str, bytes, type(None)))
+
+
 def ship(value: Any) -> Any:
     """Copy ``value`` as if it were serialized onto the wire.
 
-    Raises :class:`SerializationError` for unpicklable values, exactly
-    as Crucial requires shared objects and method arguments to be
-    serializable for marshalling.
+    Raises :class:`SerializationError` for values that do not survive
+    a pickle round-trip, exactly as Crucial requires shared objects and
+    method arguments to be serializable for marshalling.
     """
+    if type(value) in _SCALARS:
+        return value
+    return ship_sized(value)[0]
+
+
+def ship_sized(value: Any) -> tuple[Any, int]:
+    """``(ship(value), payload_size(value))`` from one pickle pass."""
     try:
-        return pickle.loads(pickle.dumps(value))
+        data = pickle.dumps(value)
+        if type(value) in _SCALARS:
+            return value, len(data)
+        return pickle.loads(data), len(data)
     except Exception as exc:  # pickle raises a zoo of types
         raise SerializationError(f"value is not serializable: {exc!r}") from exc
 
@@ -180,16 +202,22 @@ class Network:
         Blocks the calling simulated thread for the sampled delay and
         returns the shipped (copied) value.  Raises
         :class:`NetworkError` if the destination is unreachable at send
-        time *or* crashes mid-flight.
+        time *or* crashes mid-flight, and :class:`SerializationError`,
+        before any latency is charged, if the payload cannot be shipped.
         """
         with self.kernel.tracer.span(
                 "net.transfer", kind="internal", endpoint=src,
                 attributes={"src": src, "dst": dst}) as span:
             if not self.reachable(src, dst):
                 raise NetworkError(f"{dst!r} unreachable from {src!r}")
-            if nbytes is None:
-                nbytes = payload_size(value) if self.copy_messages else 0
-            shipped = ship(value) if self.copy_messages else value
+            if not self.copy_messages:
+                shipped = value
+                if nbytes is None:
+                    nbytes = 0
+            elif nbytes is None:
+                shipped, nbytes = ship_sized(value)
+            else:
+                shipped = ship(value)
             span.set("bytes", nbytes)
             delay = self.link(src, dst).sample(self._rng, nbytes)
             rate = self._drop_rates.get((src, dst), 0.0)

@@ -32,7 +32,7 @@ from warnings import warn
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
-from repro.net.network import payload_size, ship
+from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
 from repro.storage.backend import BackendStats, s3_profile
 
@@ -121,8 +121,12 @@ class ObjectStore:
 
     def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
         """Store ``value`` under ``key`` (charges PUT latency)."""
+        # Copy at call time: a mutation made while the PUT is in
+        # flight must not reach the stored value or its billed size.
         if nbytes is None:
-            nbytes = payload_size(value)
+            value, nbytes = ship_sized(value)
+        else:
+            value = ship(value)
         with self.kernel.tracer.span(
                 f"{self.name}.put", kind="client", endpoint=self.name,
                 attributes={"key": key, "bytes": nbytes}):
@@ -130,7 +134,7 @@ class ObjectStore:
             current_thread().sleep(delay)
             lag = self.config.storage.s3_visibility_lag
             self._install(key, _StoredObject(
-                value=ship(value), nbytes=nbytes,
+                value=value, nbytes=nbytes,
                 put_time=self.kernel.now,
                 visible_at=self.kernel.now + lag))
             self._charge(self.profile.put_request_dollars, "puts")

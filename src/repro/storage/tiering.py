@@ -370,7 +370,9 @@ class TieredStore:
                     # copy was read): nothing to migrate.
                     self.tiering.aborted_migrations += 1
                     return
-                nbytes = self._nbytes.get(key, payload_size(value))
+                nbytes = self._nbytes.get(key)
+                if nbytes is None:
+                    nbytes = payload_size(value)
                 with self._lock(key):
                     if (self._versions.get(key) != version
                             or self._where.get(key) != src):

@@ -1,7 +1,7 @@
 """Unit tests for metrics: recorder, cost model, report tables."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
@@ -114,6 +114,12 @@ def test_percentile_p999_no_longer_pins_to_max():
                  st.floats(min_value=0, max_value=100)),
     method=st.sampled_from(["linear", "nearest"]),
 )
+# Both defeated the old ``a * (1 - f) + b * f`` interpolation: the first
+# fell below its only value, the second fell as q rose.
+@example(values=[2.4568516636150154e-207] * 2, qs=(28.75, 28.75),
+         method="linear")
+@example(values=[-772174.1752145397, -772174.1752145393],
+         qs=(12.501725063396585, 14.732838294286998), method="linear")
 def test_percentile_monotone_and_bounded(values, qs, method):
     lo, hi = sorted(qs)
     p_lo = percentile(values, lo, method=method)

@@ -1,12 +1,17 @@
 """Unit tests for the network substrate."""
 
+import enum
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import NetworkError, SerializationError
 from repro.net import LatencyModel, Network
-from repro.net.network import payload_size
+from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation import Kernel
 from repro.simulation.thread import now
 
@@ -152,3 +157,134 @@ def test_latency_jitter_is_seeded(kernel):
     samples_b = [model.sample(rng_b) for _ in range(10)]
     assert samples_a == samples_b
     assert len(set(samples_a)) > 1
+
+
+# -- the single marshalling pass ---------------------------------------------
+
+
+def _run_transfer(value):
+    """``(delivered, bytes charged)`` for one a -> b transfer."""
+    with Kernel(seed=13) as kernel:
+        net = Network(kernel, LatencyModel(0.010))
+        net.register("a")
+        net.register("b")
+        delivered = kernel.run_main(lambda: net.transfer("a", "b", value))
+        return delivered, net.bytes_sent
+
+
+def _mutable_ids(value) -> set[int]:
+    """Ids of every dict, list and ndarray reachable from ``value``."""
+    found = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list, np.ndarray)):
+            found.add(id(item))
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return found
+
+
+def _same(a, b) -> bool:
+    """Structural equality that also compares ndarrays (and their
+    dtypes) element-wise."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.floats(allow_nan=False), st.binary(max_size=16),
+    arrays(np.float64, st.integers(0, 4),
+           elements=st.floats(-1e6, 1e6)))
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_payloads)
+def test_transfer_charges_pickle_length_and_delivers_a_disjoint_copy(value):
+    delivered, charged = _run_transfer(value)
+    assert charged == len(pickle.dumps(value))
+    assert _same(delivered, value)
+    # The copy shares no mutable object with the original (live ids
+    # cannot collide: the original is still referenced).
+    assert not _mutable_ids(delivered) & _mutable_ids(value)
+
+
+@pytest.mark.parametrize("value", [
+    2**70, -3, 2.5, True, None, "text", b"\x00raw"])
+def test_exact_scalars_pass_through_at_their_pickle_length(value):
+    delivered, charged = _run_transfer(value)
+    assert delivered is value
+    assert charged == len(pickle.dumps(value))
+    assert ship(value) is value
+    assert ship_sized(value) == (value, len(pickle.dumps(value)))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Tagged(str):
+    """A ``str`` subclass carrying instance state."""
+
+
+def test_scalar_subclasses_are_copied():
+    tagged = Tagged("payload")
+    tagged.note = {"hops": 1}
+    delivered, charged = _run_transfer(tagged)
+    assert type(delivered) is Tagged
+    assert delivered == tagged and delivered is not tagged
+    assert delivered.note == {"hops": 1}
+    assert delivered.note is not tagged.note
+    assert charged == len(pickle.dumps(tagged))
+    colour, _ = _run_transfer([Colour.RED])
+    assert colour == [Colour.RED] and type(colour[0]) is Colour
+
+
+def test_unpicklable_payload_fails_before_any_latency(kernel, network):
+    def main():
+        with pytest.raises(SerializationError):
+            network.transfer("a", "b", [lambda: None])
+        return now()
+
+    assert kernel.run_main(main) == 0.0
+    assert network.messages_sent == 0 and network.bytes_sent == 0
+
+
+def _refuse():
+    raise ValueError("this payload cannot be rebuilt")
+
+
+class Unloadable:
+    """Pickles fine; unpickling calls :func:`_refuse`."""
+
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def test_payload_that_fails_to_unpickle_is_rejected(kernel, network):
+    assert payload_size(Unloadable()) > 0
+
+    def main():
+        network.transfer("a", "b", {"x": Unloadable()})
+
+    with pytest.raises(SerializationError):
+        kernel.run_main(main)
+    with pytest.raises(SerializationError):
+        ship_sized(Unloadable())

@@ -6,6 +6,8 @@ threads borrow pooled OS threads.  These tests pin the stop
 conditions, ordering, error and teardown behaviour of those paths.
 """
 
+import os
+import resource
 import threading
 
 import pytest
@@ -292,3 +294,75 @@ def test_close_without_running_starts_no_os_thread():
     assert threading.active_count() == before
     assert all(thread.done for thread in pending)
     assert not kernel.failed_threads
+
+
+# -- worker scheduling policy -------------------------------------------------
+
+
+def _batch_policy_allowed() -> bool:
+    """True when a fresh OS thread may move itself to SCHED_BATCH."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return False
+    allowed = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError:
+            allowed.append(False)
+        else:
+            allowed.append(os.sched_getscheduler(0) == os.SCHED_BATCH)
+
+    helper = threading.Thread(target=probe)
+    helper.start()
+    helper.join()
+    return allowed[0]
+
+
+needs_batch_policy = pytest.mark.skipif(
+    not _batch_policy_allowed(),
+    reason="SCHED_BATCH is missing or refused on this host")
+
+
+@needs_batch_policy
+def test_workers_run_batch_and_the_host_keeps_its_policy():
+    host_policy = os.sched_getscheduler(0)
+    kernel = Kernel(seed=3)
+
+    def main():
+        sleep(1.0)
+        return os.sched_getscheduler(0)
+
+    assert kernel.run_main(main) == os.SCHED_BATCH
+    assert os.sched_getscheduler(0) == host_policy
+    kernel.close()
+    assert os.sched_getscheduler(0) == host_policy
+
+
+@needs_batch_policy
+def test_one_context_switch_per_wakeup_on_one_cpu():
+    """A woken batch worker waits for its waker to block instead of
+    preempting it and bouncing off the GIL it still holds; under the
+    default policy this loop makes about 3.2 switches per wakeup."""
+    threads, rounds = 16, 130
+
+    def sleeper(period):
+        for _ in range(rounds):
+            sleep(period)
+
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        with Kernel(seed=3) as kernel:
+            for i in range(threads):
+                kernel.spawn(sleeper, 0.001 * (1 + i % 3))
+            before = resource.getrusage(resource.RUSAGE_SELF)
+            kernel.run()
+            after = resource.getrusage(resource.RUSAGE_SELF)
+    finally:
+        os.sched_setaffinity(0, saved)
+    wakeups = threads * (rounds + 1)  # first dispatch + one per sleep
+    assert wakeups >= 2000
+    switches = (after.ru_nvcsw - before.ru_nvcsw
+                + after.ru_nivcsw - before.ru_nivcsw)
+    assert switches / wakeups <= 1.5

@@ -118,6 +118,35 @@ def test_round_trip_on_every_backend(kernel, network):
     kernel.run_main(main)
 
 
+@pytest.mark.parametrize("label", ["s3", "gp3", "memory"])
+def test_put_stores_and_bills_the_value_given_at_call_time(
+        kernel, network, label):
+    """A mutation made by another simulated thread while a PUT is in
+    flight reaches neither the stored value nor the billed size."""
+    from repro.net.network import payload_size
+    from repro.simulation.thread import spawn
+
+    store = all_backends(kernel, network, CostLedger())[label]
+    value = {"rows": [1, 2, 3]}
+    size = payload_size(value)
+    seen = []
+
+    def mutate():
+        seen.append(store.size())  # 0: the PUT has not landed yet
+        value["rows"].extend(range(1000))
+
+    def main():
+        spawn(mutate)
+        store.put("k", value)
+        return store.get("k")
+
+    assert kernel.run_main(main) == {"rows": [1, 2, 3]}
+    assert seen == [0]
+    assert len(value["rows"]) == 1003
+    assert store.stats.bytes_written == size
+    assert store.stored_bytes() == size
+
+
 def test_every_request_class_is_counted_and_billed(kernel):
     """Satellite: exists/list_prefix charge request cost and count in
     per-backend stats exactly like get/put."""

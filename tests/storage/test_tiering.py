@@ -67,6 +67,28 @@ def test_idle_keys_demote_and_stay_readable(kernel):
     assert store.tiers[1].size() == 1
 
 
+def test_migration_reuses_the_recorded_size(kernel, monkeypatch):
+    """A demotion bills the size recorded at put time; it does not
+    pickle the value again to size it."""
+    from repro.storage import tiering
+
+    sized = []
+    real = tiering.payload_size
+    monkeypatch.setattr(tiering, "payload_size",
+                        lambda value: sized.append(value) or real(value))
+    store = make_tiered(kernel, config_with(demote_after=5.0,
+                                            sweep_period=1.0))
+
+    def main():
+        store.start_sweeper()
+        store.put("k", b"x" * 64)
+        sleep(10.0)
+
+    kernel.run_main(main)
+    assert store.tiering.demotions == 1
+    assert len(sized) == 1  # the put's own sizing
+
+
 def test_hot_keys_promote_after_repeated_access(kernel):
     config = config_with(promote_hits=3, heat_window=100.0)
     store = make_tiered(kernel, config)
