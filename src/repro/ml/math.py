@@ -13,20 +13,42 @@ import numpy as np
 # -- k-means -------------------------------------------------------------------
 
 
+def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid for every point (lowest index on
+    ties).
+
+    Squared distances are expanded as ``|x|^2 - 2 x.c + |c|^2`` so one
+    (n x d).(d x k) product replaces the (n, k, d) difference tensor.
+    ``|x|^2`` is the same for every centroid and is left out.  Both
+    sides are first shifted by the centroids' mean: distances do not
+    change under translation, and the shift keeps the expansion from
+    cancelling catastrophically on data far from the origin.
+    """
+    origin = centroids.mean(axis=0)
+    shifted = centroids - origin
+    scores = (points - origin) @ (-2.0 * shifted.T)
+    scores += (shifted * shifted).sum(axis=1)
+    return scores.argmin(axis=1)
+
+
 def kmeans_partial(points: np.ndarray,
                    centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Assignment step over one partition.
 
     Returns ``(sums, counts, cost)``: per-cluster coordinate sums and
     member counts, plus the within-cluster squared-distance total.
+    Temporaries are O(n (k + d)): the sums are a (k x n) one-hot matrix
+    times the points, and the cost is summed from the residuals to the
+    assigned centroids, never from the expanded distances.
     """
-    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assignment = distances.argmin(axis=1)
-    k = centroids.shape[0]
+    n, k = len(points), centroids.shape[0]
+    assignment = kmeans_assign(points, centroids)
     counts = np.bincount(assignment, minlength=k).astype(np.int64)
-    sums = np.zeros_like(centroids)
-    np.add.at(sums, assignment, points)
-    cost = float(distances[np.arange(len(points)), assignment].sum())
+    one_hot = np.zeros((k, n), dtype=centroids.dtype)
+    one_hot[assignment, np.arange(n)] = 1.0
+    sums = one_hot @ points
+    residuals = points - centroids[assignment]
+    cost = float(np.einsum("ij,ij->", residuals, residuals))
     return sums, counts, cost
 
 

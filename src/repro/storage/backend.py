@@ -30,7 +30,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
 from repro.net.latency import LatencyModel
-from repro.net.network import payload_size, ship, ship_sized
+from repro.net.network import ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
 
 #: Billing month (AWS convention: 730 hours).
@@ -143,8 +143,9 @@ class StorageBackend(Protocol):
         ...
 
     def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        """Install pre-existing data without charging the data path
-        (datasets that predate the experiment); rent still accrues."""
+        """Install a copy of pre-existing data without charging the
+        data path (datasets that predate the experiment); rent still
+        accrues.  Later mutations of ``value`` do not reach the store."""
         ...
 
     def size(self) -> int:
@@ -154,6 +155,16 @@ class StorageBackend(Protocol):
     def stored_bytes(self) -> int:
         """Total nominal bytes at rest (free introspection)."""
         ...
+
+
+def copy_sized(value: Any, nbytes: int | None) -> tuple[Any, int]:
+    """The private copy a store keeps of ``value`` and its billed size
+    (``nbytes`` when given, else the pickle length), from one pickle
+    pass.  Stores copy when they accept a value, so a later mutation
+    of the caller's object reaches neither."""
+    if nbytes is None:
+        return ship_sized(value)
+    return ship(value), nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +274,7 @@ class ProfiledStore:
     def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
         # Copy at call time: a mutation made while the PUT is in
         # flight must not reach the stored value or its billed size.
-        if nbytes is None:
-            value, nbytes = ship_sized(value)
-        else:
-            value = ship(value)
+        value, nbytes = copy_sized(value, nbytes)
         with self.kernel.tracer.span(
                 f"{self.name}.put", kind="client", endpoint=self.name,
                 attributes={"key": key, "bytes": nbytes}):
@@ -332,8 +340,7 @@ class ProfiledStore:
     # -- free paths ---------------------------------------------------------
 
     def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None:
-            nbytes = payload_size(value)
+        value, nbytes = copy_sized(value, nbytes)
         self._install(key, value, nbytes, 0.0)
 
     def size(self) -> int:

@@ -20,7 +20,7 @@ from repro.metrics.cost import CostLedger
 from repro.net.network import Network, payload_size
 from repro.rpc.server import RpcServer
 from repro.simulation.kernel import Kernel
-from repro.storage.backend import BackendStats, memory_profile
+from repro.storage.backend import BackendStats, copy_sized, memory_profile
 
 
 class _GridNode:
@@ -213,8 +213,7 @@ class GridBackend:
     # -- free paths ---------------------------------------------------------
 
     def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None:
-            nbytes = payload_size(value)
+        value, nbytes = copy_sized(value, nbytes)
         self.grid.seed(key, value)
         self._account(key, nbytes)
 

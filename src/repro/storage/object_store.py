@@ -32,9 +32,9 @@ from warnings import warn
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
-from repro.net.network import payload_size, ship, ship_sized
+from repro.net.network import ship
 from repro.simulation.kernel import Kernel, current_thread
-from repro.storage.backend import BackendStats, s3_profile
+from repro.storage.backend import BackendStats, copy_sized, s3_profile
 
 
 @dataclass
@@ -123,10 +123,7 @@ class ObjectStore:
         """Store ``value`` under ``key`` (charges PUT latency)."""
         # Copy at call time: a mutation made while the PUT is in
         # flight must not reach the stored value or its billed size.
-        if nbytes is None:
-            value, nbytes = ship_sized(value)
-        else:
-            value = ship(value)
+        value, nbytes = copy_sized(value, nbytes)
         with self.kernel.tracer.span(
                 f"{self.name}.put", kind="client", endpoint=self.name,
                 attributes={"key": key, "bytes": nbytes}):
@@ -213,8 +210,7 @@ class ObjectStore:
         like the paper's S3-hosted dataset); capacity rent still
         accrues from now on.
         """
-        if nbytes is None:
-            nbytes = payload_size(value)
+        value, nbytes = copy_sized(value, nbytes)
         self._install(key, _StoredObject(value=value, nbytes=nbytes,
                                          put_time=0.0, visible_at=0.0))
 

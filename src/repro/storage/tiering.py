@@ -291,7 +291,8 @@ class TieredStore:
 
     def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
         """Install pre-existing data on the *coldest* tier (datasets
-        start cheap; the heat machinery promotes what gets used)."""
+        start cheap; the heat machinery promotes what gets used).
+        The value is sized here, once; the tier keeps its own copy."""
         if nbytes is None:
             nbytes = payload_size(value)
         self.tiers[-1].seed(key, value, nbytes=nbytes)

@@ -225,10 +225,66 @@ def explore() -> dict:
     return out
 
 
+def kmeans(seed: int = 5, workers: int = 4, k: int = 5,
+           iterations: int = 3) -> dict:
+    """Crucial k-means (Listing 2) and MLlib k-means on one small
+    dataset.  Only virtual outputs are pinned: centroid values may move
+    by ulps whenever the numpy kernel is rewritten, but no modelled
+    time, byte or dollar may."""
+    from repro.ml.dataset import MLDataset
+    from repro.ml.kmeans import CrucialKMeans
+    from repro.net import LatencyModel, Network
+    from repro.simulation.kernel import Kernel
+    from repro.sparklike import KMeansMLlib, SparkCluster
+    from repro.storage import ObjectStore
+
+    def dataset() -> MLDataset:
+        return MLDataset("kmeans", partitions=workers,
+                         materialized_points=300, seed=seed,
+                         nominal_points=200_000, nominal_bytes=4 * 10 ** 7)
+
+    def timings(prefix: str, result) -> dict:
+        return {f"{prefix}.latency_crc": latency_crc(result.per_iteration),
+                f"{prefix}.total_time": result.total_time,
+                f"{prefix}.load_time": result.load_time,
+                f"{prefix}.iteration_phase_time":
+                    result.iteration_phase_time}
+
+    def prefixed(prefix: str, fields: dict) -> dict:
+        return {f"{prefix}.{name}": value for name, value in fields.items()}
+
+    with CrucialEnvironment(seed=seed, dso_nodes=1,
+                            function_memory_mb=2048) as env:
+        job = CrucialKMeans(dataset(), k=k, iterations=iterations,
+                            workers=workers, run_id="golden-kmeans")
+        result = env.run(job.train)
+        env.cost_ledger.settle()
+        out = {**timings("crucial", result),
+               "crucial.iterations": result.iterations,
+               "crucial.net.bytes": env.network.bytes_sent,
+               "crucial.net.messages": env.network.messages_sent,
+               "crucial.dso.invocations": env.dso.stats.invocations,
+               **prefixed("crucial", ledger_fields(env.cost_ledger))}
+
+    with Kernel(seed=seed) as kernel:
+        network = Network(kernel, LatencyModel(0.0002))
+        cluster = SparkCluster(kernel, network)
+        store = ObjectStore(kernel)
+        algorithm = KMeansMLlib(cluster, k=k, iterations=iterations)
+        fit = kernel.run_main(lambda: algorithm.train(dataset(), store))
+        store.settle()
+        out.update({**timings("mllib", fit),
+                    "mllib.net.bytes": network.bytes_sent,
+                    "mllib.net.messages": network.messages_sent,
+                    **prefixed("mllib", ledger_fields(store.ledger))})
+    return out
+
+
 FINGERPRINTS = {
     "table2": table2,
     "kernel_speed": kernel_speed,
     "serving": serving,
     "oltp": oltp,
     "explore": explore,
+    "kmeans": kmeans,
 }

@@ -147,6 +147,25 @@ def test_put_stores_and_bills_the_value_given_at_call_time(
     assert store.stored_bytes() == size
 
 
+@pytest.mark.parametrize("nbytes", [None, 4096])
+@pytest.mark.parametrize("label",
+                         ["s3", "gp3", "memory", "grid", "redis", "tiered"])
+def test_seed_keeps_the_value_given_at_call_time(
+        kernel, network, label, nbytes):
+    """A mutation made after ``seed`` reaches neither later reads nor
+    the recorded size."""
+    from repro.net.network import payload_size
+
+    store = all_backends(kernel, network, CostLedger())[label]
+    value = {"rows": [1, 2, 3]}
+    size = payload_size(value) if nbytes is None else nbytes
+    store.seed("k", value, nbytes=nbytes)
+    value["rows"].append(99)
+    assert store.stored_bytes() == size
+    assert kernel.run_main(lambda: store.get("k")) == {"rows": [1, 2, 3]}
+    assert store.stored_bytes() == size
+
+
 def test_every_request_class_is_counted_and_billed(kernel):
     """Satellite: exists/list_prefix charge request cost and count in
     per-backend stats exactly like get/put."""
